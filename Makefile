@@ -74,15 +74,17 @@ bench-sparse:
 # Disk-engine perf baseline: group-commit puts against the fsync-per-put
 # durability baseline (Ref) under the identical 32-connection load, the
 # beyond-RAM capacity run (10x an in-memory cap per iteration, heap
-# growth reported), and the frame buffer-reuse pairs (-benchmem so the
-# B/op delta of the pool and read-scratch paths lands in the snapshot),
-# captured as BENCH_disk.json.
+# growth reported), the one-object read at 1k and 16k stored records
+# (flat ns/op and B/op across the pair = the per-object index), and the
+# frame buffer-reuse pairs (-benchmem so the B/op delta of the pool and
+# read-scratch paths lands in the snapshot), captured as BENCH_disk.json.
 bench-disk:
 	{ $(GO) test -run='^$$' -bench 'BenchmarkDiskPutGroupCommit' -benchtime=2000x ./internal/diskstore && \
 	  $(GO) test -run='^$$' -bench 'BenchmarkDiskPutBeyondRAM' -benchtime=1x ./internal/diskstore && \
+	  $(GO) test -run='^$$' -bench 'BenchmarkDiskGetObject' -benchtime=20000x -benchmem ./internal/diskstore && \
 	  $(GO) test -run='^$$' -bench 'BenchmarkFrame(Write|Read)' -benchtime=1000x -benchmem ./internal/store ; } \
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_disk.json -by "make bench-disk" \
-	    -note "DiskPutGroupCommit vs Ref is one fsync per coalesced batch vs one per put, same 32 concurrent putters; DiskPutBeyondRAM ingests 10x a 1024-block RAM cap per iteration (capacity-x = stored blocks / cap, heap-MB = heap growth vs stored-MB on disk); FrameWrite/Read vs Ref are the pooled build buffer and caller-owned read scratch vs fresh allocations per frame"
+	    -note "DiskPutGroupCommit vs Ref is one fsync per coalesced batch vs one per put, same 32 concurrent putters; DiskPutBeyondRAM ingests 10x a 1024-block RAM cap per iteration (capacity-x = stored blocks / cap, heap-MB = heap growth vs stored-MB on disk); DiskGetObject reads one 15-block object from stores of 1k and 16k records, cache warm (flat ns/op and B/op across the pair = per-object index, no store-wide scan); FrameWrite/Read vs Ref are the pooled build buffer and caller-owned read scratch vs fresh allocations per frame"
 
 # Migration economics under live traffic: the grow-fleet scenario (a
 # node joins mid-run, the mover re-homes blocks most-critical-first)

@@ -2,12 +2,14 @@ package diskstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
-	"repro/internal/core"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Disk-engine benchmarks, captured as BENCH_disk.json by `make
@@ -15,7 +17,9 @@ import (
 // DiskPutGroupCommit and its Ref run the identical concurrent put load,
 // differing only in FsyncMode, so the benchjson speedup is exactly the
 // batching win. DiskPutBeyondRAM proves sustained ingest far past an
-// in-memory cap with bounded heap.
+// in-memory cap with bounded heap. DiskGetObject reads one object out of
+// a small and a 16x larger store: flat ns/op across the pair is the
+// per-object index at work.
 
 const benchWireBytes = 1024
 
@@ -112,4 +116,61 @@ func BenchmarkDiskPutBeyondRAM(b *testing.B) {
 	b.ReportMetric(float64(s.Len())/ramCapBlocks, "capacity-x")
 	b.ReportMetric(heapMB, "heap-MB")
 	b.ReportMetric(storedMB, "stored-MB")
+}
+
+// getObjectBlocks is how many blocks the object DiskGetObject reads
+// holds: one N=8 object at the 1.6x provisioning the benchmark fleet
+// uses.
+const getObjectBlocks = 15
+
+// fillForGet opens a store under dir holding records blocks: filler
+// blocks of 64 objects around one target object of getObjectBlocks
+// blocks, written in the middle of the log. It returns the store and
+// the target.
+func fillForGet(tb testing.TB, dir string, records int) (*Store, core.ObjectID) {
+	tb.Helper()
+	s, err := Open(dir, Options{Fsync: FsyncNone, Logf: quiet})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(records)))
+	target := core.NamedObject("get-target")
+	put := func(obj core.ObjectID, level int) {
+		if _, err := s.Put(obj, level, keyedFakeWire(rng, obj, level, 128)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < records-getObjectBlocks; i++ {
+		if i == (records-getObjectBlocks)/2 {
+			for j := 0; j < getObjectBlocks; j++ {
+				put(target, j%3)
+			}
+		}
+		put(core.NamedObject(fmt.Sprintf("filler-%d", i%64)), i%3)
+	}
+	return s, target
+}
+
+// BenchmarkDiskGetObject reads every block of one 15-block object from
+// stores of 1k and 16k records, cache warm. Get walks only the object's
+// own index entries, so ns/op and B/op stay flat across the pair; a
+// store-wide scan would grow both with the record count.
+func BenchmarkDiskGetObject(b *testing.B) {
+	for _, records := range []int{1 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("records=%dk", records>>10), func(b *testing.B) {
+			s, target := fillForGet(b, b.TempDir(), records)
+			defer s.Close()
+			if _, err := s.Get(target, -1); err != nil { // warm the cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := s.Get(target, -1)
+				if err != nil || len(got) != getObjectBlocks {
+					b.Fatalf("get: %d blocks, err %v; want %d", len(got), err, getObjectBlocks)
+				}
+			}
+		})
+	}
 }

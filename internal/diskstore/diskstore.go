@@ -153,8 +153,9 @@ type Store struct {
 	met  diskMetrics
 
 	mu         sync.Mutex
-	segs       []*segment // ordered by id; segs[len-1] is the active one
-	byHash     map[uint64][]blockRef
+	segs       []*segment                   // ordered by id; segs[len-1] is the active one
+	byHash     map[uint64][]blockRef        // dedup: live records by wire hash
+	byObj      map[core.ObjectID][]blockRef // live records of each object, log order
 	pending    map[uint64][]*writeReq
 	tallies    map[objLevel]levelTally
 	blocks     int
@@ -211,6 +212,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:    opts,
 		met:     newDiskMetrics(opts.Metrics),
 		byHash:  make(map[uint64][]blockRef),
+		byObj:   make(map[core.ObjectID][]blockRef),
 		pending: make(map[uint64][]*writeReq),
 		tallies: make(map[objLevel]levelTally),
 		cache:   newBlockCache(opts.CacheBytes),
@@ -340,22 +342,36 @@ func (s *Store) dupLocked(hash uint64, wire []byte) (bool, error) {
 }
 
 // Get returns the wire bytes of every block of obj (core.AllObjects =
-// every object) with level <= maxLevel (maxLevel < 0 = all), reading
-// through the block cache.
+// every object) with level <= maxLevel (maxLevel < 0 = all), in log
+// order, reading through the block cache. A single-object read walks
+// only that object's index entries, so its cost follows the object, not
+// the store.
 func (s *Store) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
-	s.mu.Lock()
 	type lookup struct {
 		seg *segment
 		rec rec
 	}
-	want := make([]lookup, 0, s.blocks)
-	for _, seg := range s.segs {
-		for _, r := range seg.recs {
-			if r.dead || (obj != core.AllObjects && r.obj != obj) {
-				continue
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
+	}
+	var want []lookup
+	if obj == core.AllObjects {
+		want = make([]lookup, 0, s.blocks)
+		for _, seg := range s.segs {
+			for _, r := range seg.recs {
+				if !r.dead && (maxLevel < 0 || int(r.level) <= maxLevel) {
+					want = append(want, lookup{seg, r})
+				}
 			}
-			if maxLevel < 0 || int(r.level) <= maxLevel {
-				want = append(want, lookup{seg, r})
+		}
+	} else {
+		refs := s.byObj[obj]
+		want = make([]lookup, 0, len(refs))
+		for _, ref := range refs {
+			if r := ref.seg.recs[ref.idx]; maxLevel < 0 || int(r.level) <= maxLevel {
+				want = append(want, lookup{ref.seg, r})
 			}
 		}
 	}

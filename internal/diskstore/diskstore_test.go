@@ -70,15 +70,7 @@ func testBlocks(t *testing.T, n int) (*core.Levels, [][]byte, [][]byte, []int) {
 
 func putAll(t *testing.T, s *Store, wires [][]byte, lvls []int) {
 	t.Helper()
-	for i, w := range wires {
-		stored, err := s.Put(core.ZeroObject, lvls[i], w)
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		if !stored {
-			t.Fatalf("put %d: reported dedup for a fresh block", i)
-		}
-	}
+	putKeyed(t, s, core.ZeroObject, wires, lvls)
 }
 
 // sortedSet canonicalizes a block list for set comparison.

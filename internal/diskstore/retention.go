@@ -1,7 +1,10 @@
 package diskstore
 
 import (
+	"slices"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Retention: sealed segments older than Options.Retention are deleted
@@ -48,13 +51,18 @@ func (s *Store) enforceRetention(now time.Time) {
 		active := s.segs[n-1]
 		rotateActive = active.size > segHeaderLen && active.createdAt.Before(cutoff)
 	}
+	touched := make(map[core.ObjectID]struct{})
 	for _, seg := range expired {
-		for _, r := range seg.recs {
+		for idx, r := range seg.recs {
 			if r.dead {
 				continue // a delete already dropped it from the index
 			}
-			s.dropRefLocked(seg, r)
+			s.dropRefLocked(seg, idx)
+			touched[r.obj] = struct{}{}
 		}
+	}
+	for obj := range touched {
+		s.unlinkObjLocked(obj, expired)
 	}
 	if len(expired) > 0 {
 		s.met.setInventory(s.blocks, s.bytes, len(s.segs))
@@ -86,15 +94,34 @@ func (s *Store) enforceRetention(now time.Time) {
 	}
 }
 
-// dropRefLocked removes one expired record from the inventory index.
-func (s *Store) dropRefLocked(seg *segment, r rec) {
+// addRefLocked indexes one live record: the dedup hash, the object's
+// log-order list, the tallies and the totals.
+func (s *Store) addRefLocked(seg *segment, idx int) {
+	r := seg.recs[idx]
+	ref := blockRef{seg: seg, idx: idx}
+	seg.live++
+	s.byHash[r.hash] = append(s.byHash[r.hash], ref)
+	s.byObj[r.obj] = append(s.byObj[r.obj], ref)
+	k := objLevel{r.obj, int(r.level)}
+	tally := s.tallies[k]
+	tally.count++
+	tally.bytes += int64(r.n)
+	s.tallies[k] = tally
+	s.blocks++
+	s.bytes += int64(r.n)
+}
+
+// dropRefLocked removes one live record from the dedup index, the
+// tallies and the totals. Callers unlink it from byObj, a whole object
+// or a whole segment at a time, so no per-record list search is needed.
+func (s *Store) dropRefLocked(seg *segment, idx int) {
+	r := seg.recs[idx]
 	refs := s.byHash[r.hash]
-	for i := 0; i < len(refs); {
-		if refs[i].seg == seg {
+	for i, ref := range refs {
+		if ref.seg == seg && ref.idx == idx {
 			refs = append(refs[:i], refs[i+1:]...)
-			continue
+			break
 		}
-		i++
 	}
 	if len(refs) == 0 {
 		delete(s.byHash, r.hash)
@@ -112,6 +139,24 @@ func (s *Store) dropRefLocked(seg *segment, r rec) {
 	}
 	s.blocks--
 	s.bytes -= int64(r.n)
+}
+
+// unlinkObjLocked drops obj's index entries that point into any of segs,
+// keeping the rest in log order.
+func (s *Store) unlinkObjLocked(obj core.ObjectID, segs []*segment) {
+	refs := s.byObj[obj]
+	keep := refs[:0]
+	for _, ref := range refs {
+		if !slices.Contains(segs, ref.seg) {
+			keep = append(keep, ref)
+		}
+	}
+	clear(refs[len(keep):]) // release the dropped segments
+	if len(keep) == 0 {
+		delete(s.byObj, obj)
+	} else {
+		s.byObj[obj] = keep
+	}
 }
 
 // requestRotate asks the writer to seal the active segment; a no-op on

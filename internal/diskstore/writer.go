@@ -143,16 +143,8 @@ func (s *Store) flush(batch []*writeReq, bytes int) {
 			level: uint16(r.level),
 			hash:  r.hash,
 		})
-		seg.live++
-		s.byHash[r.hash] = append(s.byHash[r.hash], blockRef{seg: seg, idx: len(seg.recs) - 1})
+		s.addRefLocked(seg, len(seg.recs)-1)
 		s.removePendingLocked(r)
-		k := objLevel{r.obj, r.level}
-		tally := s.tallies[k]
-		tally.count++
-		tally.bytes += int64(len(r.wire))
-		s.tallies[k] = tally
-		s.blocks++
-		s.bytes += int64(len(r.wire))
 		off += recHeaderLen + int64(len(r.wire))
 	}
 	seg.size = off
@@ -233,14 +225,7 @@ func (s *Store) handleCtrl(r *writeReq) {
 // dropped from the index. Runs on the writer goroutine only.
 func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 	s.mu.Lock()
-	live := 0
-	for _, seg := range s.segs {
-		for _, r := range seg.recs {
-			if !r.dead && r.obj == obj {
-				live++
-			}
-		}
-	}
+	live := len(s.byObj[obj])
 	s.mu.Unlock()
 	if live == 0 {
 		return 0, nil // nothing to revoke: no tombstone, stays idempotent
@@ -272,19 +257,16 @@ func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 	s.mu.Lock()
 	seg.size = base + recHeaderLen + int64(len(wire))
 	seg.tombs = append(seg.tombs, obj)
-	removed := 0
-	for _, g := range s.segs {
-		for i := range g.recs {
-			r := &g.recs[i]
-			if r.dead || r.obj != obj {
-				continue
-			}
-			r.dead = true
-			g.live--
-			s.dropRefLocked(g, *r)
-			removed++
-		}
+	// Retention may have expired some of the object's records since the
+	// count above; the index holds exactly the ones still live.
+	refs := s.byObj[obj]
+	delete(s.byObj, obj)
+	for _, ref := range refs {
+		ref.seg.recs[ref.idx].dead = true
+		ref.seg.live--
+		s.dropRefLocked(ref.seg, ref.idx)
 	}
+	removed := len(refs)
 	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
 	s.mu.Unlock()
 	s.met.deletes.Inc()
@@ -465,18 +447,9 @@ func (s *Store) recover() error {
 	// Index the survivors.
 	for _, seg := range s.segs {
 		for idx, r := range seg.recs {
-			if r.dead {
-				continue
+			if !r.dead {
+				s.addRefLocked(seg, idx)
 			}
-			seg.live++
-			s.byHash[r.hash] = append(s.byHash[r.hash], blockRef{seg: seg, idx: idx})
-			k := objLevel{r.obj, int(r.level)}
-			tally := s.tallies[k]
-			tally.count++
-			tally.bytes += int64(r.n)
-			s.tallies[k] = tally
-			s.blocks++
-			s.bytes += int64(r.n)
 		}
 	}
 	// Reopen the last segment for append if it still has room; a full

@@ -115,6 +115,9 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 func (m *MemStore) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed {
+		return nil, fmt.Errorf("%w: engine closed", ErrStoreUnavailable)
+	}
 	// Size the result from the object's own tallies, not the whole store:
 	// a node holding thousands of objects must not allocate a store-wide
 	// header slice for every single-object read.
