@@ -1,29 +1,13 @@
 package mover
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/repair"
 )
-
-// objectResult tallies one object's migration attempt.
-type objectResult struct {
-	regenerated     int
-	copied          int
-	copies          int
-	bytesCollected  int64
-	bytesPlaced     int64
-	deletesIssued   int
-	blocksReclaimed int
-	skippedLevels   int
-	released        bool
-}
 
 // migrateObject re-homes one object: audit the current owners, fill
 // their per-level deficits by recombining survivors gathered from the
@@ -32,8 +16,8 @@ type objectResult struct {
 // copies. Every step is idempotent, so a failed attempt retries from
 // the audit with nothing lost — stale holders are never deleted before
 // verification passes.
-func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand) (objectResult, error) {
-	var res objectResult
+func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand) (Report, error) {
+	var res Report
 	shard, err := m.placed.Shard(op.Object)
 	if err != nil {
 		return res, fmt.Errorf("mover: resolve shard %s: %w", op.Object, err)
@@ -49,8 +33,8 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 		return res, fmt.Errorf("mover: %s: %d owners unreachable, cannot verify a release", op.Object, audit.Unreachable)
 	}
 
-	// waived marks levels with no survivor anywhere — neither on the
-	// owners nor on the stale holders. Their dimensions are already
+	// waived marks levels with no usable survivor anywhere — neither on
+	// the owners nor on the stale holders. Their dimensions are already
 	// lost; reclaiming the stale copies loses nothing more, so the
 	// verification gate lets them through (and reports them).
 	waived := make(map[int]bool)
@@ -60,21 +44,20 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 
 		// Gather survivors: stale holders carry the data being re-homed,
 		// the owners contribute anchors already transferred (or already
-		// in place) so retries never double-move what arrived.
-		ownerHeld := make(map[string]bool)
+		// in place) so retries never double-move what arrived. Blocks
+		// only stale holders carry are fresh: the raw-copy fallback.
 		var survivors []*core.CodedBlock
+		fresh := make(map[*core.CodedBlock]bool)
 		seen := make(map[string]bool)
 		ownerBlocks, err := shard.CollectObject(ctx, op.Object, maxLevel)
 		if err != nil {
 			return res, fmt.Errorf("mover: collect %s from owners: %w", op.Object, err)
 		}
 		for _, b := range ownerBlocks {
-			k := blockKey(b)
-			ownerHeld[k] = true
-			if !seen[k] {
+			if k := blockKey(b); !seen[k] {
 				seen[k] = true
 				survivors = append(survivors, b)
-				res.bytesCollected += int64(b.WireSize())
+				res.BytesCollected += int64(b.WireSize())
 			}
 		}
 		for _, addr := range op.Stale {
@@ -91,74 +74,37 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 				if k := blockKey(b); !seen[k] {
 					seen[k] = true
 					survivors = append(survivors, b)
+					fresh[b] = true
 					moved += b.WireSize()
 				}
 			}
-			res.bytesCollected += int64(moved)
+			res.BytesCollected += int64(moved)
 			if err := m.throttleWait(ctx, moved); err != nil {
 				return res, err
 			}
 		}
-		sortBlocks(survivors) // deterministic sampling under a fixed seed
-		byLevel := make(map[int][]*core.CodedBlock)
-		for _, b := range survivors {
-			byLevel[b.Level] = append(byLevel[b.Level], b)
-		}
 
-		for _, lr := range deficient {
-			anchors := byLevel[lr.Level]
-			if len(anchors) == 0 {
-				waived[lr.Level] = true
-				res.skippedLevels++
-				continue
-			}
-			var padding []*core.CodedBlock
-			if m.cfg.Scheme != core.SLC {
-				for lvl := 0; lvl < lr.Level; lvl++ {
-					padding = append(padding, byLevel[lvl]...)
-				}
-			}
-			// Raw-copy fallback order: blocks the owners lack first, so a
-			// shard at minimum rank transfers its survivors verbatim
-			// instead of spinning on server-side dedup.
-			var fresh []*core.CodedBlock
-			for _, b := range anchors {
-				if !ownerHeld[blockKey(b)] {
-					fresh = append(fresh, b)
-				}
-			}
-			copyIdx := 0
-			prefer := preferOrder(lr.PerReplica)
-			need := (lr.Deficit + lr.Replicas - 1) / lr.Replicas
-			for ; need > 0; need-- {
-				nb, _, err := core.RecombineRanked(rng, m.cfg.Scheme, m.cfg.Levels, m.sample(rng, anchors, padding))
-				raw := false
-				if errors.Is(err, core.ErrDegenerateInputs) {
-					// The survivors span a minimal space — recombining
-					// cannot produce anything new, so copy them verbatim.
-					if copyIdx >= len(fresh) {
-						break // every distinct survivor already placed
-					}
-					nb, raw = fresh[copyIdx], true
-					copyIdx++
-				} else if err != nil {
-					return res, fmt.Errorf("mover: recombine %s level %d: %w", op.Object, lr.Level, err)
-				}
-				placed := nb.WireSize() * lr.Replicas
-				if err := m.throttleWait(ctx, placed); err != nil {
-					return res, err
-				}
-				if err := shard.PutPreferring(ctx, nb, prefer); err != nil {
-					return res, fmt.Errorf("mover: place %s level %d: %w", op.Object, lr.Level, err)
-				}
-				if raw {
-					res.copied++
-				} else {
-					res.regenerated++
-				}
-				res.copies += lr.Replicas
-				res.bytesPlaced += int64(placed)
-			}
+		regen, err := repair.Regenerate(ctx, repair.Regen{
+			Shard:      shard,
+			Scheme:     m.cfg.Scheme,
+			Levels:     m.cfg.Levels,
+			Survivors:  survivors,
+			Fresh:      fresh,
+			Deficient:  deficient,
+			Rng:        rng,
+			SampleSize: m.cfg.SampleSize,
+			Charge:     m.throttleWait,
+		})
+		res.Regenerated = regen.Regenerated
+		res.Copied = regen.Copied
+		res.Copies = regen.Copies
+		res.BytesPlaced = regen.BytesPlaced
+		res.SkippedLevels = len(regen.SkippedLevels)
+		for _, lvl := range regen.SkippedLevels {
+			waived[lvl] = true
+		}
+		if err != nil {
+			return res, fmt.Errorf("mover: %s: %w", op.Object, err)
 		}
 	}
 
@@ -190,10 +136,10 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 		if err != nil {
 			return res, fmt.Errorf("mover: reclaim %s from %s: %w", op.Object, addr, err)
 		}
-		res.deletesIssued++
-		res.blocksReclaimed += n
+		res.DeletesIssued++
+		res.BlocksReclaimed += n
 	}
-	res.released = true
+	res.Migrated = 1
 	return res, nil
 }
 
@@ -207,30 +153,6 @@ func (m *Mover) throttleWait(ctx context.Context, n int) error {
 	return err
 }
 
-// sample draws up to SampleSize blocks: at least one anchor of the
-// target level, padded with lower-level survivors when the scheme
-// allows mixing — the repair daemon's sampling, against a per-object
-// generator so concurrent transfers stay deterministic.
-func (m *Mover) sample(rng *rand.Rand, anchors, padding []*core.CodedBlock) []*core.CodedBlock {
-	take := m.cfg.SampleSize
-	if take > len(anchors) {
-		take = len(anchors)
-	}
-	out := make([]*core.CodedBlock, 0, m.cfg.SampleSize)
-	for _, i := range rng.Perm(len(anchors))[:take] {
-		out = append(out, anchors[i])
-	}
-	if pad := m.cfg.SampleSize - len(out); pad > 0 && len(padding) > 0 {
-		if pad > len(padding) {
-			pad = len(padding)
-		}
-		for _, i := range rng.Perm(len(padding))[:pad] {
-			out = append(out, padding[i])
-		}
-	}
-	return out
-}
-
 // blockKey identifies a block by content — level, coefficient vector
 // (dense form, so representation does not split identities), payload.
 func blockKey(b *core.CodedBlock) string {
@@ -241,45 +163,4 @@ func blockKey(b *core.CodedBlock) string {
 	buf = append(buf, 0)
 	buf = append(buf, b.Payload...)
 	return string(buf)
-}
-
-// preferOrder ranks replica indices for placement: fewest copies of the
-// level first (the audit ran with every owner reachable, so no -1s).
-func preferOrder(perReplica []int) []int {
-	order := make([]int, len(perReplica))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return perReplica[order[a]] < perReplica[order[b]]
-	})
-	return order
-}
-
-// sortBlocks orders survivors by (level, dense coefficients, payload)
-// so a fixed seed samples identically across runs.
-func sortBlocks(blocks []*core.CodedBlock) {
-	keys := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		keys[i] = b.DenseCoeff()
-	}
-	order := make([]int, len(blocks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if blocks[i].Level != blocks[j].Level {
-			return blocks[i].Level < blocks[j].Level
-		}
-		if c := bytes.Compare(keys[i], keys[j]); c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(blocks[i].Payload, blocks[j].Payload) < 0
-	})
-	sorted := make([]*core.CodedBlock, len(blocks))
-	for pos, i := range order {
-		sorted[pos] = blocks[i]
-	}
-	copy(blocks, sorted)
 }

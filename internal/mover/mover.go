@@ -20,9 +20,10 @@
 //     their per-level deficits by recombining survivors collected from
 //     the stale holders — fresh blocks, the paper's regeneration
 //     primitive, not verbatim moves (with a verbatim-copy fallback when
-//     the survivors are at minimum rank and recombination is
-//     degenerate). Concurrency is bounded, transfers retry with
-//     backoff, and a shared token bucket caps the byte rate.
+//     a sample spans nothing and recombination is degenerate). The
+//     step is repair.Regenerate, the one repair rounds use. Concurrency
+//     is bounded, transfers retry with backoff, and a shared token
+//     bucket caps the byte rate.
 //  3. verify + reclaim: re-audit the owners against the provisioning
 //     targets; only when every level meets its copy target are the
 //     stale holders sent Delete. A failed verification leaves the old
@@ -49,6 +50,18 @@ import (
 	"repro/internal/store"
 )
 
+// Fixed tuning of the migration loop.
+const (
+	// roundTimeout bounds one plan+migrate round.
+	roundTimeout = 60 * time.Second
+	// burst is the throttle's minimum bucket capacity; the bucket always
+	// holds at least one second of RateLimit.
+	burst = 1 << 20
+	// retryBackoff is the delay before an object's second attempt,
+	// doubling for each later one.
+	retryBackoff = 250 * time.Millisecond
+)
+
 // Config parameterizes a Mover.
 type Config struct {
 	// Scheme and Levels describe the code the fleet holds.
@@ -61,16 +74,9 @@ type Config struct {
 	TotalBlocks int
 	Targets     []int
 	// Interval is the pause between successful rounds. Default 5s; a
-	// membership change cuts the wait short via Kick.
+	// membership change cuts the wait short via Kick, and failed rounds
+	// back off from it exponentially (see repair.Loop).
 	Interval time.Duration
-	// MaxBackoff caps the exponential backoff after failed rounds.
-	// Default 16x Interval.
-	MaxBackoff time.Duration
-	// Jitter in [0, 1] is the randomized fraction shaved off each wait.
-	// Default 0.2; negative disables jitter.
-	Jitter float64
-	// RoundTimeout bounds one plan+migrate round. Default 60s.
-	RoundTimeout time.Duration
 	// Workers bounds how many objects migrate concurrently. Default 2.
 	Workers int
 	// RateLimit caps the mover's aggregate byte rate (collected plus
@@ -78,14 +84,9 @@ type Config struct {
 	// is background work — the cap is what keeps foreground puts and
 	// gets within their latency budget while the fleet rebalances.
 	RateLimit int64
-	// Burst is the token bucket's capacity; default max(RateLimit, 1 MiB).
-	Burst int64
 	// Attempts is how many times one object's migration is tried per
 	// round before it is counted failed. Default 3.
 	Attempts int
-	// RetryBackoff is the base delay between an object's attempts,
-	// doubling each failure. Default 250ms.
-	RetryBackoff time.Duration
 	// SampleSize is how many survivors feed each recombination. Default 8.
 	SampleSize int
 	// Seed seeds recombination and jitter (0 means 1); each object
@@ -100,29 +101,11 @@ func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 16 * c.Interval
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 60 * time.Second
-	}
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.Burst <= 0 {
-		c.Burst = 1 << 20
-	}
 	if c.Attempts <= 0 {
 		c.Attempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	if c.SampleSize <= 0 {
 		c.SampleSize = 8
@@ -155,32 +138,22 @@ type Report struct {
 	// BlocksReclaimed the copies they removed.
 	DeletesIssued   int
 	BlocksReclaimed int
-	// SkippedLevels counts level transfers waived for lack of any
-	// survivor — lost data, which migration cannot conjure back.
+	// SkippedLevels counts level transfers waived for lack of any usable
+	// survivor (repair.RegenReport.SkippedLevels) — lost data, which
+	// migration cannot conjure back.
 	SkippedLevels int
 }
 
 // Mover is the background migration loop over a placement ring. Every
 // interval — or immediately upon Kick — it plans and executes one
-// migration round. Failed rounds back off exponentially with jitter.
+// migration round. It runs on repair's Loop, so failed rounds back off
+// exponentially with jitter.
 type Mover struct {
+	*repair.Loop[Report]
 	placed  *store.Placed
 	cfg     Config
 	met     moverMetrics
 	limiter *throttle
-
-	mu   sync.Mutex // serializes rounds and guards rng, last, runs
-	rng  *rand.Rand
-	last Report
-	runs int
-
-	ctx      context.Context
-	cancel   context.CancelFunc
-	kick     chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
-	started  bool
-	stopOnce sync.Once
 }
 
 // New validates the configuration and returns a stopped mover; call
@@ -203,19 +176,14 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 		return nil, fmt.Errorf("mover: %w", err)
 	}
 	cfg.fillDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Mover{
+	m := &Mover{
 		placed:  p,
 		cfg:     cfg,
 		met:     newMoverMetrics(cfg.Metrics),
-		limiter: newThrottle(cfg.RateLimit, cfg.Burst),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ctx:     ctx,
-		cancel:  cancel,
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}, nil
+		limiter: newThrottle(cfg.RateLimit, burst),
+	}
+	m.Loop = repair.NewLoop(cfg.Interval, roundTimeout, cfg.Seed, cfg.Metrics, "mover", m.round)
+	return m, nil
 }
 
 // Kick requests an immediate round, collapsing any pending wait or
@@ -223,149 +191,25 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 // starts the moment placement shifts. Never blocks; kicks coalesce.
 func (m *Mover) Kick() {
 	m.met.kicks.Inc()
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
+	m.Loop.Kick()
 }
 
-// Start launches the background loop. The first round runs immediately.
-// Start is idempotent.
-func (m *Mover) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started {
-		return
-	}
-	m.started = true
-	go m.loop()
-}
-
-// Stop shuts the mover down gracefully: the loop exits after the
-// in-flight round completes. If ctx expires first, the round is
-// cancelled and Stop returns the context error once the loop has
-// exited. Safe to call more than once, and before Start.
-func (m *Mover) Stop(ctx context.Context) error {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.mu.Lock()
-	started := m.started
-	m.mu.Unlock()
-	if !started {
-		m.cancel()
-		return nil
-	}
-	select {
-	case <-m.done:
-		m.cancel()
-		return nil
-	case <-ctx.Done():
-		m.cancel()
-		<-m.done
-		return ctx.Err()
-	}
-}
-
-// Rounds returns how many migration rounds have run.
-func (m *Mover) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.runs
-}
-
-// LastReport returns the most recent round's report.
-func (m *Mover) LastReport() Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last
-}
-
-func (m *Mover) loop() {
-	defer close(m.done)
-	failures := 0
-	timer := time.NewTimer(0) // first round immediately
-	defer timer.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-timer.C:
-		case <-m.kick:
-			// A membership change outranks the schedule: run now. The
-			// timer is drained so the reset below starts clean.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		rctx, rcancel := context.WithTimeout(m.ctx, m.cfg.RoundTimeout)
-		_, err := m.RunOnce(rctx)
-		rcancel()
-		if m.ctx.Err() != nil {
-			return
-		}
-		wait := m.cfg.Interval
-		if err != nil {
-			// Jittered exponential backoff, as in the repair daemon: a
-			// dark fleet is probed gently until it answers again.
-			failures++
-			for i := 1; i < failures && wait < m.cfg.MaxBackoff; i++ {
-				wait *= 2
-			}
-			if wait > m.cfg.MaxBackoff {
-				wait = m.cfg.MaxBackoff
-			}
-		} else {
-			failures = 0
-		}
-		m.met.consecutiveFailures.Set(int64(failures))
-		m.met.backoffNs.Set(int64(wait))
-		timer.Reset(m.jittered(wait))
-	}
-}
-
-func (m *Mover) jittered(wait time.Duration) time.Duration {
-	if m.cfg.Jitter <= 0 {
-		return wait
-	}
-	m.mu.Lock()
-	f := 1 - m.cfg.Jitter*m.rng.Float64()
-	m.mu.Unlock()
-	return time.Duration(float64(wait) * f)
-}
-
-// RunOnce performs one migration round — plan, transfer, verify,
-// reclaim — and returns its report. The error is non-nil when planning
-// failed or any object's migration did, which the loop answers with
-// backoff; partially-migrated objects stay visible as stale holdings
-// and are re-planned next round.
-func (m *Mover) RunOnce(ctx context.Context) (Report, error) {
-	t0 := time.Now()
-	rep, err := m.runOnce(ctx)
-	m.met.roundNs.ObserveSince(t0)
-	m.met.rounds.Inc()
-	if err != nil {
-		m.met.roundErrors.Inc()
-	}
-	return rep, err
-}
-
-func (m *Mover) runOnce(ctx context.Context) (Report, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.runs++
+// round performs one migration round — plan, transfer, verify,
+// reclaim. The report is nil when planning failed; the error is non-nil
+// when planning failed or any object's migration did, which the loop
+// answers with backoff. Partially-migrated objects stay visible as
+// stale holdings and are re-planned next round.
+func (m *Mover) round(ctx context.Context) (*Report, error) {
 	acfg := repair.AuditConfig{Dist: m.cfg.Dist, TotalBlocks: m.cfg.TotalBlocks, Targets: m.cfg.Targets}
 	targets, err := acfg.DistinctTargets(m.placed.Levels())
 	if err != nil {
-		return Report{}, fmt.Errorf("mover: %w", err)
+		return nil, fmt.Errorf("mover: %w", err)
 	}
 	plan, err := m.plan(ctx, targets)
 	if err != nil {
-		return Report{}, fmt.Errorf("mover: plan: %w", err)
+		return nil, fmt.Errorf("mover: plan: %w", err)
 	}
-	rep := Report{Plan: plan}
-	defer func() { m.last = rep }()
+	rep := &Report{Plan: plan}
 	m.met.objectsPlanned.Add(uint64(len(plan.Objects)))
 	if len(plan.Objects) == 0 {
 		return rep, nil
@@ -377,7 +221,7 @@ func (m *Mover) runOnce(ctx context.Context) (Report, error) {
 	if workers > len(plan.Objects) {
 		workers = len(plan.Objects)
 	}
-	results := make([]objectResult, len(plan.Objects))
+	results := make([]Report, len(plan.Objects))
 	errs := make([]error, len(plan.Objects))
 	var next int64
 	var wg sync.WaitGroup
@@ -398,17 +242,7 @@ func (m *Mover) runOnce(ctx context.Context) (Report, error) {
 
 	var firstErr error
 	for i, res := range results {
-		rep.Regenerated += res.regenerated
-		rep.Copied += res.copied
-		rep.Copies += res.copies
-		rep.BytesCollected += res.bytesCollected
-		rep.BytesPlaced += res.bytesPlaced
-		rep.DeletesIssued += res.deletesIssued
-		rep.BlocksReclaimed += res.blocksReclaimed
-		rep.SkippedLevels += res.skippedLevels
-		if res.released {
-			rep.Migrated++
-		}
+		rep.add(res)
 		if errs[i] != nil {
 			rep.Failed++
 			m.met.objectErrors.Inc()
@@ -435,18 +269,31 @@ func (m *Mover) runOnce(ctx context.Context) (Report, error) {
 	return rep, nil
 }
 
+// add accumulates an object's tallies into the round's report.
+func (r *Report) add(o Report) {
+	r.Migrated += o.Migrated
+	r.Regenerated += o.Regenerated
+	r.Copied += o.Copied
+	r.Copies += o.Copies
+	r.BytesCollected += o.BytesCollected
+	r.BytesPlaced += o.BytesPlaced
+	r.DeletesIssued += o.DeletesIssued
+	r.BlocksReclaimed += o.BlocksReclaimed
+	r.SkippedLevels += o.SkippedLevels
+}
+
 // migrateAttempts drives one object through up to Attempts tries with
-// doubling backoff. Each object recombines from its own generator,
-// seeded by Seed and the object ID, so worker interleaving never
-// changes what gets placed.
-func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (objectResult, error) {
+// doubling backoff, and returns the tallies of every attempt (Migrated
+// is 1 once the object was released). Each object recombines from its
+// own generator, seeded by Seed and the object ID, so worker
+// interleaving never changes what gets placed.
+func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (Report, error) {
 	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(op.Object)))
-	var res objectResult
+	var res Report
 	var err error
 	for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			backoff := m.cfg.RetryBackoff << (attempt - 1)
-			timer := time.NewTimer(backoff)
+			timer := time.NewTimer(retryBackoff << (attempt - 1))
 			select {
 			case <-ctx.Done():
 				timer.Stop()
@@ -454,22 +301,11 @@ func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (objectResul
 			case <-timer.C:
 			}
 		}
-		var r objectResult
+		var r Report
 		r, err = m.migrateObject(ctx, op, rng)
 		// Work done by a failed attempt still moved bytes; account it.
-		res.regenerated += r.regenerated
-		res.copied += r.copied
-		res.copies += r.copies
-		res.bytesCollected += r.bytesCollected
-		res.bytesPlaced += r.bytesPlaced
-		res.deletesIssued += r.deletesIssued
-		res.blocksReclaimed += r.blocksReclaimed
-		res.skippedLevels += r.skippedLevels
-		if err == nil {
-			res.released = r.released
-			return res, nil
-		}
-		if ctx.Err() != nil {
+		res.add(r)
+		if err == nil || ctx.Err() != nil {
 			return res, err
 		}
 	}

@@ -434,22 +434,3 @@ func TestThrottle(t *testing.T) {
 		t.Fatalf("oversized request deadlocked: %v", err)
 	}
 }
-
-func TestBlockKeyAndSortDeterminism(t *testing.T) {
-	_, _, blocks := testCode(t, 9, 12)
-	a := append([]*core.CodedBlock(nil), blocks...)
-	b := append([]*core.CodedBlock(nil), blocks...)
-	rand.New(rand.NewSource(2)).Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-	sortBlocks(a)
-	sortBlocks(b)
-	for i := range a {
-		if blockKey(a[i]) != blockKey(b[i]) {
-			t.Fatalf("sortBlocks not order-insensitive at %d", i)
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i-1].Level > a[i].Level {
-			t.Fatal("sortBlocks did not order by level")
-		}
-	}
-}

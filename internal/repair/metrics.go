@@ -5,34 +5,24 @@ import "repro/internal/metrics"
 // daemonMetrics is the repair daemon's metrics seam; names resolve once
 // at construction so rounds pay only atomic updates. A nil registry
 // yields all-nil fields and every recording call is a no-op. The name
-// catalog lives in DESIGN.md §10.
+// catalog lives in DESIGN.md §10; the round, failure and backoff series
+// are the Loop's.
 type daemonMetrics struct {
-	rounds            *metrics.Counter
-	roundErrors       *metrics.Counter
 	roundsTruncated   *metrics.Counter
-	roundNs           *metrics.Histogram
 	blocksRegenerated *metrics.Counter
 	copiesPlaced      *metrics.Counter
 	bytesCollected    *metrics.Counter
 	bytesPlaced       *metrics.Counter
 	levelsSkipped     *metrics.Counter
-
-	consecutiveFailures *metrics.Gauge
-	backoffNs           *metrics.Gauge
 }
 
 func newDaemonMetrics(r *metrics.Registry) daemonMetrics {
 	return daemonMetrics{
-		rounds:              r.Counter("repair_rounds_total"),
-		roundErrors:         r.Counter("repair_round_errors_total"),
-		roundsTruncated:     r.Counter("repair_rounds_truncated_total"),
-		roundNs:             r.Histogram("repair_round_ns"),
-		blocksRegenerated:   r.Counter("repair_blocks_regenerated_total"),
-		copiesPlaced:        r.Counter("repair_copies_placed_total"),
-		bytesCollected:      r.Counter("repair_bytes_collected_total"),
-		bytesPlaced:         r.Counter("repair_bytes_placed_total"),
-		levelsSkipped:       r.Counter("repair_levels_skipped_total"),
-		consecutiveFailures: r.Gauge("repair_consecutive_failures"),
-		backoffNs:           r.Gauge("repair_backoff_ns"),
+		roundsTruncated:   r.Counter("repair_rounds_truncated_total"),
+		blocksRegenerated: r.Counter("repair_blocks_regenerated_total"),
+		copiesPlaced:      r.Counter("repair_copies_placed_total"),
+		bytesCollected:    r.Counter("repair_bytes_collected_total"),
+		bytesPlaced:       r.Counter("repair_bytes_placed_total"),
+		levelsSkipped:     r.Counter("repair_levels_skipped_total"),
 	}
 }

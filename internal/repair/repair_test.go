@@ -223,23 +223,23 @@ func TestApportion(t *testing.T) {
 
 func TestDistinctTargets(t *testing.T) {
 	cfg := &AuditConfig{Targets: []int{4, 6}}
-	got, err := cfg.distinctTargets(2)
+	got, err := cfg.DistinctTargets(2)
 	if err != nil || !reflect.DeepEqual(got, []int{4, 6}) {
 		t.Fatalf("explicit targets = %v, %v", got, err)
 	}
-	if _, err := cfg.distinctTargets(3); err == nil {
+	if _, err := cfg.DistinctTargets(3); err == nil {
 		t.Fatal("target/level length mismatch accepted")
 	}
-	if _, err := (&AuditConfig{Targets: []int{4, -1}}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Targets: []int{4, -1}}).DistinctTargets(2); err == nil {
 		t.Fatal("negative target accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1}, TotalBlocks: 5}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1}, TotalBlocks: 5}).DistinctTargets(2); err == nil {
 		t.Fatal("distribution/level length mismatch accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1, 1}, TotalBlocks: 0}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1, 1}, TotalBlocks: 0}).DistinctTargets(2); err == nil {
 		t.Fatal("zero TotalBlocks accepted")
 	}
-	got, err = (&AuditConfig{Dist: core.PriorityDistribution{0.25, 0.75}, TotalBlocks: 8}).distinctTargets(2)
+	got, err = (&AuditConfig{Dist: core.PriorityDistribution{0.25, 0.75}, TotalBlocks: 8}).DistinctTargets(2)
 	if err != nil || !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("apportioned targets = %v, %v", got, err)
 	}
@@ -513,7 +513,6 @@ func TestDaemonBacksOffWhileDark(t *testing.T) {
 	f := newFleet(t, 2, levels.Count())
 	cfg := f.seed(levels, blocks, targets)
 	cfg.Interval = time.Millisecond
-	cfg.MaxBackoff = 250 * time.Millisecond
 	d, err := New(f.repl, cfg)
 	if err != nil {
 		t.Fatal(err)
